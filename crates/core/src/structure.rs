@@ -140,6 +140,30 @@ impl Structure {
         self.epoch
     }
 
+    /// Empties the structure (atoms, nodes and constant pins) but keeps
+    /// its allocations, so a loop that builds many small structures over
+    /// one signature can reuse a single value.
+    ///
+    /// The cleared structure takes a fresh [`uid`](Self::uid) and a
+    /// strictly higher [`epoch`](Self::epoch), so no plan cache keyed by
+    /// `(uid, epoch)` can confuse it with its earlier contents.
+    pub fn clear(&mut self) {
+        self.atoms.clear();
+        self.atom_set.clear();
+        for rel in &mut self.rels {
+            rel.rows.clear();
+            rel.cols.iter_mut().for_each(Vec::clear);
+            rel.postings.iter_mut().for_each(HashMap::clear);
+        }
+        self.flat_args.clear();
+        self.arg_starts.truncate(1);
+        self.node_count = 0;
+        self.const_node.clear();
+        self.node_const.clear();
+        self.epoch += 1;
+        self.uid = next_structure_uid();
+    }
+
     /// Allocates a fresh node.
     pub fn fresh_node(&mut self) -> Node {
         let n = Node(self.node_count);
@@ -614,6 +638,61 @@ mod tests {
         assert_ne!(d.uid(), d2.uid());
         assert_ne!(d.uid(), d3.uid());
         assert_eq!(d.epoch(), d2.epoch());
+    }
+
+    #[test]
+    fn cleared_structure_indexes_like_a_fresh_build() {
+        let mut sig = Signature::new();
+        let r = sig.add_predicate("R", 2);
+        let s = sig.add_predicate("S", 1);
+        let c = sig.add_constant("c");
+        let sig = Arc::new(sig);
+        let build = |d: &mut Structure| {
+            let cc = d.node_for_const(c);
+            let x = d.fresh_node();
+            let y = d.fresh_node();
+            d.add(r, vec![cc, x]);
+            d.add(r, vec![x, y]);
+            d.add(r, vec![cc, y]);
+            d.add(s, vec![y]);
+        };
+        let mut fresh = Structure::new(Arc::clone(&sig));
+        build(&mut fresh);
+
+        // Different earlier contents: more nodes, other atoms, S first.
+        let mut reused = Structure::new(Arc::clone(&sig));
+        let nodes: Vec<Node> = (0..4).map(|_| reused.fresh_node()).collect();
+        reused.add(s, vec![nodes[3]]);
+        reused.add(r, vec![nodes[2], nodes[1]]);
+        reused.add(r, vec![nodes[0], nodes[3]]);
+        let (uid0, epoch0) = (reused.uid(), reused.epoch());
+        reused.clear();
+        assert_ne!(reused.uid(), uid0);
+        assert!(reused.epoch() > epoch0);
+        assert_eq!((reused.atom_count(), reused.node_count()), (0, 0));
+        assert_eq!(reused.existing_const_node(c), None);
+        build(&mut reused);
+
+        assert_ne!(reused.uid(), fresh.uid());
+        assert_eq!(reused.atoms(), fresh.atoms());
+        assert_eq!(reused.node_count(), fresh.node_count());
+        assert_eq!(reused.existing_const_node(c), fresh.existing_const_node(c));
+        for row in 0..fresh.atom_count() as u32 {
+            assert_eq!(reused.args_of(row), fresh.args_of(row));
+        }
+        for p in [r, s] {
+            assert_eq!(reused.pred_index(p), fresh.pred_index(p));
+            for pos in 0..sig.arity(p) as u8 {
+                assert_eq!(reused.column(p, pos), fresh.column(p, pos));
+                assert_eq!(reused.distinct_count(p, pos), fresh.distinct_count(p, pos));
+                for n in fresh.nodes() {
+                    assert_eq!(
+                        reused.pred_pos_node_index(p, pos, n),
+                        fresh.pred_pos_node_index(p, pos, n)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

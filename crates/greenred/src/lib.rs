@@ -34,5 +34,8 @@ pub mod tq;
 pub use coloring::{Color, GreenRed};
 pub use oracle::{CertifiedRun, DeterminacyOracle, Verdict};
 pub use rewriting::{cq_rewriting, Rewriting};
-pub use search::{is_counterexample, search_counterexample, CounterexampleReport};
+pub use search::{
+    is_counterexample, search_counterexample, search_counterexample_within, CandidateCheck,
+    CounterexampleReport, SearchOutcome, MAX_SEARCH_SLOTS,
+};
 pub use tq::greenred_tgds;

@@ -12,7 +12,8 @@ use cqfd_core::{
     CancelToken, VarMap,
 };
 use cqfd_greenred::{
-    cq_rewriting, greenred_tgds, search_counterexample, Color, DeterminacyOracle, Verdict,
+    cq_rewriting, greenred_tgds, search_counterexample_within, Color, DeterminacyOracle,
+    SearchOutcome, Verdict, MAX_SEARCH_SLOTS,
 };
 use cqfd_obs::{span, Stopwatch, Unit};
 use cqfd_rainworm::config::Config;
@@ -638,8 +639,8 @@ fn run_job(
                 // would answer.
             }
             metrics.route = Some(Route::Semi.as_str());
-            match search_counterexample(&oracle, views, q0, budget.max_search_nodes) {
-                Some(d) => {
+            match search_counterexample_within(&oracle, views, q0, budget.max_search_nodes) {
+                SearchOutcome::Found(d) => {
                     metrics.peak_atoms = metrics.peak_atoms.max(d.atom_count());
                     metrics.peak_nodes = metrics.peak_nodes.max(d.node_count());
                     if budget.emit_certificate || force_cert {
@@ -650,23 +651,33 @@ fn run_job(
                         atoms: d.atom_count(),
                     }
                 }
-                None => {
+                // Not even one node was enumerated: there is no bound to
+                // attest (and the checker rejects a zero bound).
+                SearchOutcome::Exhausted { nodes: 0 } => JobOutcome::Error {
+                    message: if budget.max_search_nodes == 0 {
+                        "nodes=0 leaves the counter-example search nothing to enumerate".into()
+                    } else {
+                        format!(
+                            "the colored atom space over one node exceeds the search limit \
+                             of {MAX_SEARCH_SLOTS} atoms; nothing was searched"
+                        )
+                    },
+                },
+                SearchOutcome::Exhausted { nodes } => {
                     if budget.emit_certificate || force_cert {
                         let cert = Certificate::NonHomRefutation {
                             sig: convert::sig_spec(oracle.greenred().colored()),
                             what: format!(
                                 "exhaustive search found no counter-example to `{}` \
                                  determinacy over ≤ {} nodes",
-                                q0.name, budget.max_search_nodes
+                                q0.name, nodes
                             ),
-                            bound: budget.max_search_nodes.max(1) as u64,
+                            bound: nodes as u64,
                             explored: hom_nodes_explored(),
                         };
                         *certificate = Some(cqfd_cert::encode(&cert));
                     }
-                    JobOutcome::NoCounterexample {
-                        nodes: budget.max_search_nodes,
-                    }
+                    JobOutcome::NoCounterexample { nodes }
                 }
             }
         }
@@ -1016,6 +1027,50 @@ mod tests {
         assert!(cqfd_cert::check(&cert).is_ok());
     }
 
+    /// A signature of `preds` binary predicates, an identity view on each
+    /// and `Q0 = P0`: determined, so the search never stops early.
+    fn identity_views_job(preds: usize, nodes: usize) -> Job {
+        let mut sig = Signature::new();
+        let mut views = Vec::new();
+        for i in 0..preds {
+            sig.add_predicate(&format!("P{i}"), 2);
+            views.push(Cq::parse(&sig, &format!("V{i}(x,y) :- P{i}(x,y)")).unwrap());
+        }
+        let q0 = Cq::parse(&sig, "Q0(x,y) :- P0(x,y)").unwrap();
+        Job::CounterexampleSearch {
+            sig,
+            views,
+            q0,
+            budget: JobBudget::default()
+                .with_search_nodes(nodes)
+                .with_certificate(true),
+        }
+    }
+
+    #[test]
+    fn search_reports_only_the_sizes_it_enumerated() {
+        // Four binary predicates: 8 colored slots over one node, 32 over
+        // two, so only size 1 is enumerated however high `nodes=` goes.
+        let r = execute(1, &identity_views_job(4, 5), &CancelToken::inert());
+        assert_eq!(r.outcome, JobOutcome::NoCounterexample { nodes: 1 });
+        let cert = cqfd_cert::parse(r.certificate.as_deref().unwrap()).unwrap();
+        let Certificate::NonHomRefutation { what, bound, .. } = &cert else {
+            panic!("expected an attestation, got {cert:?}");
+        };
+        assert_eq!(*bound, 1);
+        assert!(what.ends_with("over ≤ 1 nodes"), "{what}");
+        assert!(cqfd_cert::check(&cert).is_ok());
+
+        // Thirteen: 26 slots over one node, so nothing is searched at all
+        // and there is no bound to attest.
+        let r = execute(2, &identity_views_job(13, 3), &CancelToken::inert());
+        let JobOutcome::Error { message } = &r.outcome else {
+            panic!("expected an error, got {:?}", r.outcome);
+        };
+        assert!(message.contains("nothing was searched"), "{message}");
+        assert!(r.certificate.is_none());
+    }
+
     #[test]
     fn counterexample_jobs_attach_certificates_both_ways() {
         // The projection instance has a 2-node counter-example; the
@@ -1187,9 +1242,9 @@ mod tests {
     /// the chase fixpoint *is* a finite counter-model regardless of the
     /// node cap, extracted in milliseconds. (`mismatch:5x7` is the same
     /// story at the *default* cap — its minimal counter-model needs more
-    /// than 3 nodes and ~2.6e8 hom checks to rule out — but that takes
-    /// half a minute of enumeration even in release, so CI and the
-    /// dispatch bench carry it instead of this unit test.)
+    /// than 3 nodes and ~2.7e7 hom checks to rule out — but that takes
+    /// seconds of enumeration even in release, so CI and the dispatch
+    /// bench carry it instead of this unit test.)
     #[test]
     fn chase_model_route_converts_inconclusive_counterexample() {
         let mk = |dispatch| {

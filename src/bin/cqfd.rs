@@ -13,7 +13,9 @@
 use cqfd::chase::ChaseBudget;
 use cqfd::core::CancelToken;
 use cqfd::core::{Cq, HomEngine, Signature};
-use cqfd::greenred::{cq_rewriting, search_counterexample, DeterminacyOracle, Verdict};
+use cqfd::greenred::{
+    cq_rewriting, search_counterexample_within, DeterminacyOracle, SearchOutcome, Verdict,
+};
 use cqfd::rainworm::encode::tm_to_rainworm;
 use cqfd::rainworm::families::{counter_worm, forever_worm, halting_worm_short};
 use cqfd::rainworm::run::{creep, trace, CreepOutcome};
@@ -364,13 +366,13 @@ fn determine(args: &[String], rewriting_mode: bool) -> Result<(), String> {
         }
         Verdict::NotDeterminedUnrestricted { stages } => {
             println!("NOT determined (unrestricted) — chase fixpoint after {stages} stages");
-            match search_counterexample(&oracle, &views, &q0, search_nodes) {
-                Some(d) => {
+            match search_counterexample_within(&oracle, &views, &q0, search_nodes) {
+                SearchOutcome::Found(d) => {
                     println!("finite counter-example ({} atoms over Σ̄):", d.atom_count());
                     print!("{d}");
                 }
-                None => println!(
-                    "no finite counter-example with ≤ {search_nodes} nodes (finite \
+                SearchOutcome::Exhausted { nodes } => println!(
+                    "no finite counter-example with ≤ {nodes} nodes (finite \
                      determinacy could still hold — see Theorem 14)"
                 ),
             }
