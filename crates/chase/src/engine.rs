@@ -37,8 +37,8 @@ pub struct ChaseBudget {
     pub deadline: Option<Instant>,
     /// Worker threads for the per-stage trigger-enumeration phase. `1`
     /// (the default) runs fully sequentially. The chase result is
-    /// byte-identical at every setting: enumeration slices are merged back
-    /// in deterministic `(TGD index, slice order)` order and trigger
+    /// byte-identical at every setting: enumeration slices (one per TGD) are
+    /// merged back in TGD order, each sorted by frontier tuple, and trigger
     /// *application* is always sequential — this knob only changes
     /// wall-clock time.
     pub threads: usize,
@@ -390,25 +390,6 @@ impl ChaseRun {
     }
 }
 
-/// Trigger-enumeration strategy for the chase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Re-enumerate all body matches over the frozen snapshot each stage —
-    /// the paper's procedure, verbatim. The default.
-    #[default]
-    Naive,
-    /// Semi-naive (delta-driven): enumerate only matches that use at least
-    /// one atom added in the previous stage, seeding each pattern atom on
-    /// the delta in turn with earlier atoms restricted to older prefixes
-    /// so each match is found exactly once. Sound because trigger
-    /// satisfaction is monotone under the chase (once a trigger's head is
-    /// witnessed it stays witnessed). Faster on long runs; within a stage
-    /// the triggers may be *applied in a different order* than the naive
-    /// strategy, so the two chases can produce different (always
-    /// hom-equivalent, both universal) structures.
-    SemiNaive,
-}
-
 /// A stage-boundary snapshot a chase run can resume from: the structure
 /// at the boundary plus the completed per-stage history. Produced by
 /// replaying a write-ahead stage log (see `cqfd-store`); consumed by
@@ -461,13 +442,12 @@ pub struct ChaseHooks<'a> {
 #[derive(Debug, Clone)]
 pub struct ChaseEngine {
     tgds: Vec<Tgd>,
-    strategy: Strategy,
     record: bool,
     termination: Termination,
 }
 
 impl ChaseEngine {
-    /// Creates an engine over the given dependencies (naive strategy).
+    /// Creates an engine over the given dependencies.
     /// Runs the static weak-acyclicity test once, up front; the verdict is
     /// available through [`termination`](Self::termination) and stamped on
     /// every [`ChaseRun`].
@@ -475,16 +455,9 @@ impl ChaseEngine {
         let termination = Termination::analyze(&tgds);
         ChaseEngine {
             tgds,
-            strategy: Strategy::Naive,
             record: false,
             termination,
         }
-    }
-
-    /// Selects the trigger-enumeration strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Enables (or disables) recording of applied triggers into
@@ -595,9 +568,9 @@ impl ChaseEngine {
             run.outcome = ChaseOutcome::MonitorStopped;
             return finish(run, d);
         }
-        // Snapshot boundary of the previous stage (what the semi-naive
-        // delta is measured against): for stage k+1 it is the atom count
-        // at *entry* of stage k.
+        // Snapshot boundary of the previous stage (what the stage delta is
+        // measured against): for stage k+1 it is the atom count at *entry*
+        // of stage k.
         let done = run.stages.len();
         let mut prev_frozen: u32 = match done {
             0 => 0,
@@ -676,12 +649,12 @@ impl ChaseEngine {
 
     /// One chase stage (the `forall pairs T, b̄ …` loop of §II.C), in two
     /// phases. **Phase A** enumerates the distinct frontier tuples b̄ with a
-    /// body match in the frozen snapshot, one slice per TGD (naive) or per
-    /// `(TGD, delta-seed-position)` (semi-naive); slices are independent
-    /// read-only searches, so with `budget.threads > 1` they fan out over a
-    /// scoped worker pool and merge back in deterministic `(TGD, slice)`
-    /// order. Head satisfaction is pre-checked against the frozen snapshot
-    /// in the same pass. **Phase B** walks the merged frontiers in order
+    /// body match in the frozen snapshot that uses at least one atom of the
+    /// stage delta, one slice per TGD (see [`Self::enumerate_stage`]);
+    /// slices are independent read-only searches, so with
+    /// `budget.threads > 1` they fan out over a scoped worker pool and
+    /// merge back in TGD order. Head satisfaction is pre-checked against
+    /// the frozen snapshot in the same pass. **Phase B** walks the merged frontiers in order
     /// and applies the active triggers sequentially (application mutates
     /// `d`), re-checking non-pre-satisfied heads against the live `D`.
     ///
@@ -691,9 +664,8 @@ impl ChaseEngine {
     /// applies nothing: the structure is left exactly at the previous
     /// stage boundary, so the run is a valid chase prefix.
     ///
-    /// `prev_frozen` is the snapshot boundary of the previous stage; the
-    /// semi-naive strategy only enumerates matches touching the delta
-    /// `[prev_frozen, frozen)`.
+    /// `prev_frozen` is the snapshot boundary of the previous stage; only
+    /// matches touching the delta `[prev_frozen, frozen)` are enumerated.
     fn run_stage(
         &self,
         d: &mut Structure,
@@ -717,9 +689,25 @@ impl ChaseEngine {
     }
 
     /// Phase A: enumerates every slice of the stage against the frozen
-    /// snapshot and merges the results per TGD, deduplicated, in `(TGD,
-    /// slice, discovery)` order. Returns `None` if the budget's stop hook
-    /// fired mid-enumeration (nothing was applied).
+    /// snapshot and collects each TGD's frontier (deduplicated and sorted
+    /// by tuple, see [`Self::enumerate_slice`]) in TGD order. Returns
+    /// `None` if the budget's stop hook fired mid-enumeration (nothing was
+    /// applied).
+    ///
+    /// The enumeration is delta-driven: a TGD gets a slice only if one of
+    /// its body predicates gained atoms in `[prev_frozen, frozen)`, and in
+    /// it body position `k` is seeded on its predicate's delta rows to
+    /// find exactly the matches whose *first* delta atom sits at `k`. A
+    /// match lying wholly in the previous snapshot needs no visit: the
+    /// previous stage enumerated it and left its head satisfied (applied,
+    /// or already witnessed), and satisfaction is monotone, so the paper's
+    /// re-enumerate-everything stage would find it pre-satisfied and skip
+    /// it. Every trigger that can fire is
+    /// therefore found, with all of its body matches (so the recorded
+    /// least match is the same too), and each stage's frontier is sorted
+    /// before application: the result is byte-identical to the paper's
+    /// procedure, only cheaper. `tests/parallel_chase.rs` checks this
+    /// against a naive reference chase.
     fn enumerate_stage(
         &self,
         d: &Structure,
@@ -728,22 +716,20 @@ impl ChaseEngine {
         frozen: u32,
         meters: &ChaseMeters,
     ) -> Option<Vec<Vec<Frontier>>> {
-        let slices: Vec<Slice> = match self.strategy {
-            Strategy::Naive => (0..self.tgds.len())
-                .map(|ti| Slice { ti, seed_pos: None })
-                .collect(),
-            Strategy::SemiNaive => self
-                .tgds
-                .iter()
-                .enumerate()
-                .flat_map(|(ti, t)| {
-                    (0..t.body().len()).map(move |k| Slice {
-                        ti,
-                        seed_pos: Some(k),
-                    })
-                })
-                .collect(),
-        };
+        // One slice per TGD with something to enumerate. A TGD none of
+        // whose body predicates gained atoms has no new match: it is
+        // dropped here, before any plan is compiled for it. A body-less
+        // TGD has no atom to seed on and is always kept (its one, empty,
+        // match is pre-satisfied once it has fired).
+        let slices: Vec<usize> = (0..self.tgds.len())
+            .filter(|&ti| {
+                let body = self.tgds[ti].body();
+                body.is_empty()
+                    || body
+                        .iter()
+                        .any(|a| !delta_rows(d, a.pred, prev_frozen, frozen).is_empty())
+            })
+            .collect();
         let abort = AtomicBool::new(false);
         let workers = budget.threads.max(1).min(slices.len().max(1));
         let mut results: Vec<Option<Vec<Frontier>>> = Vec::with_capacity(slices.len());
@@ -813,58 +799,20 @@ impl ChaseEngine {
         if abort.load(Ordering::Relaxed) || budget.should_stop() {
             return None;
         }
-        // Merge back per TGD. Per-slice results are already deduplicated;
-        // cross-slice duplicates (a match whose atoms span several delta
-        // positions) keep the lexicographically least recorded assignment.
-        // Each TGD's merged frontier is then **canonicalised**: sorted by
-        // frontier tuple. Tuples are distinct after dedup, so the sorted
-        // sequence — and with it application order, fresh-node allocation,
-        // recorded firings, every downstream artifact — depends only on
-        // the *set* of matches, never on enumeration order. This is what
-        // makes the chase byte-identical across hom engines (and, as
-        // before, across thread counts).
         let mut merged: Vec<Vec<Frontier>> = (0..self.tgds.len()).map(|_| Vec::new()).collect();
-        let mut slices_per_tgd = vec![0usize; self.tgds.len()];
-        for s in &slices {
-            slices_per_tgd[s.ti] += 1;
-        }
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut cur = usize::MAX;
-        for (slice, res) in slices.iter().zip(results) {
-            let frontiers = res.expect("uncancelled stage enumerated every slice");
-            if slices_per_tgd[slice.ti] == 1 {
-                merged[slice.ti] = frontiers;
-                continue;
-            }
-            if slice.ti != cur {
-                buckets.clear();
-                cur = slice.ti;
-            }
-            let dst = &mut merged[slice.ti];
-            for f in frontiers {
-                let bucket = buckets.entry(hash_tuple(&f.tuple)).or_default();
-                if let Some(&j) = bucket.iter().find(|&&j| dst[j as usize].tuple == f.tuple) {
-                    if let (Some(cur), Some(cand)) = (dst[j as usize].full_map.as_mut(), f.full_map)
-                    {
-                        if cand < *cur {
-                            *cur = cand;
-                        }
-                    }
-                    continue;
-                }
-                bucket.push(dst.len() as u32);
-                dst.push(f);
-            }
-        }
-        for dst in &mut merged {
-            dst.sort_unstable_by(|a, b| a.tuple.cmp(&b.tuple));
+        for (&ti, res) in slices.iter().zip(results) {
+            merged[ti] = res.expect("uncancelled stage enumerated every slice");
         }
         Some(merged)
     }
 
-    /// Enumerates one slice: the distinct frontier tuples of one TGD
-    /// (naive) or of one `(TGD, delta-seed-position)` (semi-naive) against
-    /// the frozen snapshot, each with its frozen-snapshot head pre-check.
+    /// Enumerates one slice: the distinct frontier tuples of TGD `ti`
+    /// with a body match touching the delta, each with its frozen-snapshot
+    /// head pre-check, **canonicalised**: sorted by frontier tuple, and,
+    /// when recording, carrying the lexicographically least full match.
+    /// Both depend only on the *set* of matches, never on enumeration
+    /// order, so application order, fresh-node allocation and recorded
+    /// firings are byte-identical across hom engines and thread counts.
     /// Read-only on `d`; safe to run from any worker thread. Sets `abort`
     /// and returns early (with a result that must be discarded) when the
     /// budget's stop hook fires.
@@ -874,13 +822,13 @@ impl ChaseEngine {
         budget: &ChaseBudget,
         prev_frozen: u32,
         frozen: u32,
-        slice: Slice,
+        ti: usize,
         abort: &AtomicBool,
     ) -> Vec<Frontier> {
-        let tgd = &self.tgds[slice.ti];
+        let tgd = &self.tgds[ti];
         let body = tgd.body();
         // One compiled plan per slice (engine-routed), reused across every
-        // seed.
+        // seed position and delta row.
         let body_plan = AnyPlan::compile(budget.hom_engine, body, d);
         let head_plan = AnyPlan::compile(budget.hom_engine, tgd.head(), d);
         let head_limits = vec![frozen; tgd.head().len()];
@@ -955,59 +903,58 @@ impl ChaseEngine {
             });
             ControlFlow::Continue(())
         };
-        match slice.seed_pos {
-            None => {
-                let limits = vec![frozen; body.len()];
-                let _ = body_plan.for_each_bindings(&[], &limits, &mut record);
+        if body.is_empty() {
+            // A body-less TGD: its one, empty, match.
+            let _ = body_plan.for_each_bindings(&[], &[], &mut record);
+        }
+        // Every match with at least one body atom in the delta, exactly
+        // once: seed position k directly on each delta atom; atoms before
+        // k come from the old prefix, atoms after k from the whole
+        // snapshot. (Atoms are deduplicated, so "uses a delta atom at
+        // position k" is exactly "position k's image was added this
+        // stage".)
+        let mut seeds: Vec<(u32, Node)> = Vec::new();
+        for (k, pattern_atom) in body.iter().enumerate() {
+            let rows = delta_rows(d, pattern_atom.pred, prev_frozen, frozen);
+            if rows.is_empty() {
+                continue;
             }
-            Some(k) => {
-                // Every match with at least one body atom in the delta,
-                // exactly once: seed position k directly on each delta
-                // atom; atoms before k come from the old prefix, atoms
-                // after k from the whole snapshot. (Atoms are
-                // deduplicated, so "uses a delta atom at position k"
-                // is exactly "position k's image was added this stage".)
-                let pattern_atom = &body[k];
-                let mut limits: Vec<u32> = vec![prev_frozen; body.len()];
-                for l in limits.iter_mut().skip(k) {
-                    *l = frozen;
+            let mut limits: Vec<u32> = vec![prev_frozen; body.len()];
+            for l in limits.iter_mut().skip(k) {
+                *l = frozen;
+            }
+            // Resolve the seed atom's argument shape once: the per-row
+            // unification below runs for every delta atom of the stage and
+            // must not pay a slot-map lookup each time.
+            let seed_args: Vec<SeedArg> = pattern_atom
+                .args
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => SeedArg::Const(d.existing_const_node(*c)),
+                    Term::Var(v) => SeedArg::Slot(
+                        body_plan
+                            .slot(*v)
+                            .expect("pattern variable occurs in the body"),
+                    ),
+                })
+                .collect();
+            for &idx in rows {
+                if abort.load(Ordering::Relaxed) {
+                    return out;
                 }
-                // Resolve the seed atom's argument shape once: the
-                // per-row unification below runs for every delta atom of
-                // the stage and must not pay a slot-map lookup each time.
-                let seed_args: Vec<SeedArg> = pattern_atom
-                    .args
-                    .iter()
-                    .map(|t| match t {
-                        Term::Const(c) => SeedArg::Const(d.existing_const_node(*c)),
-                        Term::Var(v) => SeedArg::Slot(
-                            body_plan
-                                .slot(*v)
-                                .expect("pattern variable occurs in the body"),
-                        ),
-                    })
-                    .collect();
-                let mut seeds: Vec<(u32, Node)> = Vec::with_capacity(pattern_atom.args.len());
-                for idx in prev_frozen..frozen {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let ground = &d.atoms()[idx as usize];
-                    if ground.pred != pattern_atom.pred {
-                        continue;
-                    }
-                    if !unify_seed_args(&seed_args, ground, &mut seeds) {
-                        continue;
-                    }
-                    let _ = body_plan.for_each_bindings(&seeds, &limits, &mut record);
+                let ground = &d.atoms()[idx as usize];
+                if !unify_seed_args(&seed_args, ground, &mut seeds) {
+                    continue;
                 }
+                let _ = body_plan.for_each_bindings(&seeds, &limits, &mut record);
             }
         }
+        out.sort_unstable_by(|a, b| a.tuple.cmp(&b.tuple));
         out
     }
 
-    /// Phase B: walks the merged frontiers in `(TGD, merge)` order and
-    /// applies the active triggers.
+    /// Phase B: walks the merged frontiers (TGD order, each sorted by
+    /// tuple) and applies the active triggers.
     fn apply_stage(
         &self,
         d: &mut Structure,
@@ -1067,9 +1014,6 @@ impl ChaseEngine {
 
     /// Applies one active trigger: `D := D(T, b̄)` — a fresh copy of `A[Ψ]`
     /// glued to the old structure along the frontier (§II.B).
-    ///
-    /// (See also [`unify_seed_args`] below, the seeding step of the
-    /// semi-naive strategy.)
     fn apply(&self, tgd: &Tgd, fixed: &VarMap, d: &mut Structure) {
         let mut assignment = fixed.clone();
         for &v in tgd.existential() {
@@ -1149,14 +1093,6 @@ impl ChaseEngine {
 /// accumulated (credited to the coordinating thread's counter).
 type WorkerYield = (Vec<(usize, Vec<Frontier>)>, u64);
 
-/// One parallelisable enumeration slice of a chase stage: a TGD and, under
-/// the semi-naive strategy, the body position seeded on the delta.
-#[derive(Clone, Copy)]
-struct Slice {
-    ti: usize,
-    seed_pos: Option<usize>,
-}
-
 /// One distinct frontier tuple found in phase A, bundled with everything
 /// phase B needs — a single struct so the tuple/full-map/pre-check triples
 /// cannot drift out of step.
@@ -1212,6 +1148,13 @@ impl Hasher for PassThroughHasher {
     fn write_u64(&mut self, k: u64) {
         self.0 = k;
     }
+}
+
+/// The atoms of `pred` added in `[lo, hi)`: a binary-searched window of
+/// the ascending [`Structure::pred_index`].
+fn delta_rows(d: &Structure, pred: cqfd_core::PredId, lo: u32, hi: u32) -> &[u32] {
+    let rows = d.pred_index(pred);
+    &rows[rows.partition_point(|&i| i < lo)..rows.partition_point(|&i| i < hi)]
 }
 
 /// A seed atom's argument, pre-resolved against plan and target so the
@@ -1443,23 +1386,15 @@ mod tests {
         for w in ns.windows(2) {
             d.add(r, vec![w[0], w[1]]);
         }
-        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let engine = ChaseEngine::new(vec![t1.clone(), t2.clone()])
-                .with_strategy(strategy)
-                .with_recording(true);
-            let seq = engine.chase(&d, &ChaseBudget::stages(6));
-            for threads in [2, 4, 8] {
-                let par = engine.chase(&d, &ChaseBudget::stages(6).with_threads(threads));
-                assert_eq!(
-                    seq.structure.atoms(),
-                    par.structure.atoms(),
-                    "{strategy:?} t={threads}"
-                );
-                assert_eq!(seq.stages, par.stages, "{strategy:?} t={threads}");
-                assert_eq!(seq.firings, par.firings, "{strategy:?} t={threads}");
-                assert_eq!(seq.outcome, par.outcome, "{strategy:?} t={threads}");
-                assert_eq!(seq.hom_nodes, par.hom_nodes, "{strategy:?} t={threads}");
-            }
+        let engine = ChaseEngine::new(vec![t1, t2]).with_recording(true);
+        let seq = engine.chase(&d, &ChaseBudget::stages(6));
+        for threads in [2, 4, 8] {
+            let par = engine.chase(&d, &ChaseBudget::stages(6).with_threads(threads));
+            assert_eq!(seq.structure.atoms(), par.structure.atoms(), "t={threads}");
+            assert_eq!(seq.stages, par.stages, "t={threads}");
+            assert_eq!(seq.firings, par.firings, "t={threads}");
+            assert_eq!(seq.outcome, par.outcome, "t={threads}");
+            assert_eq!(seq.hom_nodes, par.hom_nodes, "t={threads}");
         }
     }
 
@@ -1562,136 +1497,64 @@ mod tests {
 }
 
 #[cfg(test)]
-mod seminaive_tests {
+mod delta_tests {
     use super::*;
-    use cqfd_core::{structure_homomorphism, Atom, Signature, Var};
+    use cqfd_core::{Atom, Signature, Var};
     use std::sync::Arc;
 
     fn v(i: u32) -> Term {
         Term::Var(Var(i))
     }
 
-    fn engines(tgds: Vec<Tgd>) -> (ChaseEngine, ChaseEngine) {
-        (
-            ChaseEngine::new(tgds.clone()),
-            ChaseEngine::new(tgds).with_strategy(Strategy::SemiNaive),
-        )
-    }
-
+    /// A body-less TGD has no atom to seed a delta slice on; it must still
+    /// get its one unseeded slice, fire once at stage 1 and then sit at a
+    /// fixpoint.
     #[test]
-    fn strategies_agree_on_terminating_chase() {
+    fn body_less_tgd_fires_once_then_reaches_a_fixpoint() {
         let mut sig = Signature::new();
-        let r = sig.add_predicate("R", 2);
+        let r = sig.add_predicate("R", 1);
         let sig = Arc::new(sig);
-        // transitive closure + a symmetrizing existential rule
-        let t1 = Tgd::new_unchecked(
-            "trans",
-            vec![
-                Atom::new(r, vec![v(0), v(1)]),
-                Atom::new(r, vec![v(1), v(2)]),
-            ],
-            vec![Atom::new(r, vec![v(0), v(2)])],
-        );
-        let (naive, semi) = engines(vec![t1]);
-        let mut d = Structure::new(Arc::clone(&sig));
-        let ns: Vec<Node> = (0..5).map(|_| d.fresh_node()).collect();
-        for w in ns.windows(2) {
-            d.add(r, vec![w[0], w[1]]);
+        // → ∃x R(x)
+        let t = Tgd::new_unchecked("spawn", vec![], vec![Atom::new(r, vec![v(0)])]);
+        let engine = ChaseEngine::new(vec![t]).with_recording(true);
+        let d = Structure::new(Arc::clone(&sig));
+        for threads in [1, 2] {
+            let run = engine.chase(&d, &ChaseBudget::stages(10).with_threads(threads));
+            assert_eq!(run.outcome, ChaseOutcome::Fixpoint, "t={threads}");
+            let apps: Vec<usize> = run.stages.iter().map(|s| s.applications).collect();
+            assert_eq!(apps, [1, 0], "t={threads}");
+            assert_eq!(run.structure.atom_count(), 1);
+            assert_eq!(run.structure.node_count(), 1);
+            assert_eq!(
+                run.firings,
+                [Firing {
+                    stage: 1,
+                    tgd: 0,
+                    assignment: vec![],
+                }]
+            );
         }
-        let rn = naive.chase(&d, &ChaseBudget::default());
-        let rs = semi.chase(&d, &ChaseBudget::default());
-        assert!(rn.reached_fixpoint() && rs.reached_fixpoint());
-        // Full TGDs: results must be literally equal as atom sets.
-        assert_eq!(rn.structure.atom_count(), rs.structure.atom_count());
-        for a in rn.structure.atoms() {
-            assert!(rs.structure.contains_atom(a));
-        }
-        assert!(naive.is_model(&rs.structure));
     }
 
+    /// The seed window is exactly the predicate's rows in `[lo, hi)`.
     #[test]
-    fn strategies_agree_on_existential_chase_up_to_homs() {
+    fn delta_rows_is_the_predicates_window() {
         let mut sig = Signature::new();
         let r = sig.add_predicate("R", 2);
         let s = sig.add_predicate("S", 2);
-        let sig = Arc::new(sig);
-        // R(x,y) ⇒ ∃z S(y,z);  S(x,y) ⇒ R(x,x): terminates after the
-        // fresh S-target's R-loop turns out to be S-satisfied already.
-        let t1 = Tgd::new_unchecked(
-            "t1",
-            vec![Atom::new(r, vec![v(0), v(1)])],
-            vec![Atom::new(s, vec![v(1), v(2)])],
-        );
-        let t2 = Tgd::new_unchecked(
-            "t2",
-            vec![Atom::new(s, vec![v(0), v(1)])],
-            vec![Atom::new(r, vec![v(0), v(0)])],
-        );
-        let (naive, semi) = engines(vec![t1, t2]);
-        let mut d = Structure::new(Arc::clone(&sig));
-        let x = d.fresh_node();
-        let y = d.fresh_node();
-        d.add(r, vec![x, y]);
-        let rn = naive.chase(&d, &ChaseBudget::default());
-        let rs = semi.chase(&d, &ChaseBudget::default());
-        assert!(rn.reached_fixpoint() && rs.reached_fixpoint());
-        assert!(naive.is_model(&rs.structure));
-        assert!(semi.is_model(&rn.structure));
-        // Universal models of the same instance: hom-equivalent.
-        assert!(structure_homomorphism(&rn.structure, &rs.structure).is_some());
-        assert!(structure_homomorphism(&rs.structure, &rn.structure).is_some());
-    }
-
-    #[test]
-    fn seminaive_matches_naive_stage_counts_on_tinf_like_system() {
-        // A single-trigger-per-stage system (like T∞): the two strategies
-        // must take identical stages.
-        let mut sig = Signature::new();
-        let r = sig.add_predicate("R", 2);
-        let sig = Arc::new(sig);
-        let t = Tgd::new_unchecked(
-            "t",
-            vec![Atom::new(r, vec![v(0), v(1)])],
-            vec![Atom::new(r, vec![v(1), v(2)])],
-        );
-        let (naive, semi) = engines(vec![t]);
-        let mut d = Structure::new(Arc::clone(&sig));
-        let x = d.fresh_node();
-        let y = d.fresh_node();
-        d.add(r, vec![x, y]);
-        let rn = naive.chase(&d, &ChaseBudget::stages(12));
-        let rs = semi.chase(&d, &ChaseBudget::stages(12));
-        assert_eq!(rn.stages, rs.stages);
-        assert_eq!(rn.structure.atoms(), rs.structure.atoms());
-    }
-
-    #[test]
-    fn seminaive_is_deterministic() {
-        let mut sig = Signature::new();
-        let r = sig.add_predicate("R", 2);
-        let s = sig.add_predicate("S", 2);
-        let sig = Arc::new(sig);
-        let t1 = Tgd::new_unchecked(
-            "t1",
-            vec![
-                Atom::new(r, vec![v(0), v(1)]),
-                Atom::new(s, vec![v(1), v(2)]),
-            ],
-            vec![Atom::new(r, vec![v(0), v(2)])],
-        );
-        let t2 = Tgd::new_unchecked(
-            "t2",
-            vec![Atom::new(r, vec![v(0), v(1)])],
-            vec![Atom::new(s, vec![v(0), v(2)])],
-        );
-        let semi = ChaseEngine::new(vec![t1, t2]).with_strategy(Strategy::SemiNaive);
-        let mut d = Structure::new(Arc::clone(&sig));
-        let ns: Vec<Node> = (0..3).map(|_| d.fresh_node()).collect();
-        d.add(r, vec![ns[0], ns[1]]);
-        d.add(s, vec![ns[1], ns[2]]);
-        let r1 = semi.chase(&d, &ChaseBudget::stages(8));
-        let r2 = semi.chase(&d, &ChaseBudget::stages(8));
-        assert_eq!(r1.structure.atoms(), r2.structure.atoms());
-        assert_eq!(r1.stages, r2.stages);
+        let mut d = Structure::new(Arc::new(sig));
+        let a = d.fresh_node();
+        let b = d.fresh_node();
+        // Global atom indices: R 0, S 1, R 2, S 3, R 4.
+        d.add(r, vec![a, a]);
+        d.add(s, vec![a, a]);
+        d.add(r, vec![a, b]);
+        d.add(s, vec![a, b]);
+        d.add(r, vec![b, b]);
+        assert_eq!(delta_rows(&d, r, 0, 5), [0, 2, 4]);
+        assert_eq!(delta_rows(&d, r, 1, 4), [2]);
+        assert_eq!(delta_rows(&d, s, 2, 5), [3]);
+        assert!(delta_rows(&d, s, 4, 5).is_empty());
+        assert!(delta_rows(&d, r, 3, 3).is_empty());
     }
 }

@@ -9,7 +9,10 @@
 //!   `chase₀ ⊆ chase₁ ⊆ …` with the paper's exact stage semantics: at stage
 //!   `i+1`, triggers are enumerated over the atoms of stage `i` (a frozen
 //!   snapshot), while the "already satisfied" check (condition ­) runs
-//!   against the live, growing structure;
+//!   against the live, growing structure. Enumeration is delta-driven:
+//!   a stage visits only the body matches that use an atom the previous
+//!   stage added, which skips work but changes no output (the other
+//!   matches are satisfied already, and satisfaction is monotone);
 //! * fixpoint detection, budgets, per-stage accounting, and model checking
 //!   (`D |= T` ⇔ no active trigger).
 //!
@@ -57,7 +60,7 @@ pub mod tgd;
 
 pub use engine::{
     ChaseBudget, ChaseEngine, ChaseHooks, ChaseOutcome, ChaseRun, CheckpointFn, Firing,
-    ResumePoint, StageInfo, Strategy,
+    ResumePoint, StageInfo,
 };
 pub use termination::{PredPos, Termination};
 pub use tgd::Tgd;

@@ -58,5 +58,5 @@ pub use graph::GreenGraph;
 pub use label::{Dir, GridLabel, Kind, Label, Parity};
 pub use minimal::{important_edges, minimal_model};
 pub use pg::ParityGlasses;
-pub use rules::{Join, L2Rule, L2System};
+pub use rules::{chase_until_12_with, Join, L2Rule, L2System};
 pub use space::LabelSpace;

@@ -184,26 +184,7 @@ impl L2System {
         g: &GreenGraph,
         budget: &ChaseBudget,
     ) -> (GreenGraph, ChaseRun, bool) {
-        self.chase_until_12_with(g, budget, cqfd_chase::Strategy::Naive)
-    }
-
-    /// [`L2System::chase_until_12`] with an explicit chase strategy (the
-    /// semi-naive strategy is markedly faster on large grid chases; see
-    /// the `fig3_grid` ablation bench).
-    pub fn chase_until_12_with(
-        &self,
-        g: &GreenGraph,
-        budget: &ChaseBudget,
-        strategy: cqfd_chase::Strategy,
-    ) -> (GreenGraph, ChaseRun, bool) {
-        let engine = self.engine(g.space()).with_strategy(strategy);
-        let space = Arc::clone(g.space());
-        let run = engine.chase_with_monitor(g.structure(), budget, |st, _| {
-            has_12_in_structure(&space, st)
-        });
-        let found = has_12_in_structure(&space, &run.structure);
-        let out = GreenGraph::from_structure(space, run.structure.clone());
-        (out, run, found)
+        chase_until_12_with(&self.engine(g.space()), g, budget)
     }
 
     /// Exact model check: both directions of every equivalence hold.
@@ -219,6 +200,23 @@ impl L2System {
             .first_violation(g.structure())
             .map(|(i, _)| engine.tgds()[i].name().to_owned())
     }
+}
+
+/// [`L2System::chase_until_12`] with a prebuilt engine over `g`'s label
+/// space, for callers that chase one system many times and build its
+/// engine once.
+pub fn chase_until_12_with(
+    engine: &ChaseEngine,
+    g: &GreenGraph,
+    budget: &ChaseBudget,
+) -> (GreenGraph, ChaseRun, bool) {
+    let space = Arc::clone(g.space());
+    let run = engine.chase_with_monitor(g.structure(), budget, |st, _| {
+        has_12_in_structure(&space, st)
+    });
+    let found = has_12_in_structure(&space, &run.structure);
+    let out = GreenGraph::from_structure(space, run.structure.clone());
+    (out, run, found)
 }
 
 /// 1-2 pattern detection on a raw structure over a label space.

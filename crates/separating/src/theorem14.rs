@@ -3,9 +3,9 @@
 
 use crate::grid::t_square;
 use crate::tinf::{lasso_model, t_infinity, tinf_labels};
-use cqfd_chase::{ChaseBudget, ChaseRun};
-use cqfd_greengraph::{GreenGraph, L2System, Label, LabelSpace};
-use std::sync::Arc;
+use cqfd_chase::{ChaseBudget, ChaseEngine, ChaseRun};
+use cqfd_greengraph::{chase_until_12_with, GreenGraph, L2System, Label, LabelSpace};
+use std::sync::{Arc, OnceLock};
 
 /// `T = T∞ ∪ T□` (44 rules): the separating rule set of Theorem 14.
 pub fn t_separating() -> L2System {
@@ -15,9 +15,27 @@ pub fn t_separating() -> L2System {
 /// The label space of the separating example: `∅`, the five skeleton
 /// labels, and the 32 grid labels.
 pub fn separating_space() -> Arc<LabelSpace> {
-    let mut labels = tinf_labels();
-    labels.extend(Label::all_grid_labels());
-    Arc::new(LabelSpace::new(labels))
+    Arc::clone(&setup().space)
+}
+
+/// What every separation chase shares: the label space and the chase
+/// engine of `T` over it (88 TGDs, analysed for termination once).
+struct Setup {
+    space: Arc<LabelSpace>,
+    engine: ChaseEngine,
+}
+
+/// The [`Setup`], built on first use and then shared by every chase in
+/// the process: it depends on nothing a caller passes in.
+fn setup() -> &'static Setup {
+    static SETUP: OnceLock<Setup> = OnceLock::new();
+    SETUP.get_or_init(|| {
+        let mut labels = tinf_labels();
+        labels.extend(Label::all_grid_labels());
+        let space = Arc::new(LabelSpace::new(labels));
+        let engine = t_separating().engine(&space);
+        Setup { space, engine }
+    })
 }
 
 /// Evidence for the "does not lead to the red spider" half: chases
@@ -33,9 +51,8 @@ pub fn chase_from_di(stages: usize) -> (GreenGraph, ChaseRun, bool) {
 /// enumeration thread count (see [`separating_budget`] for the stock
 /// limits).
 pub fn chase_from_di_with(budget: &ChaseBudget) -> (GreenGraph, ChaseRun, bool) {
-    let sys = t_separating();
     let g = GreenGraph::di(separating_space());
-    sys.chase_until_12(&g, budget)
+    chase_until_12_with(&setup().engine, &g, budget)
 }
 
 /// The stock budget the Theorem 14 drivers run under: `stages` stages and
@@ -71,9 +88,8 @@ pub fn chase_from_lasso_with(
     period: usize,
     budget: &ChaseBudget,
 ) -> (GreenGraph, ChaseRun, bool) {
-    let sys = t_separating();
     let g = lasso_model(separating_space(), n, period);
-    sys.chase_until_12(&g, budget)
+    chase_until_12_with(&setup().engine, &g, budget)
 }
 
 /// A machine-checkable certificate for the positive half of Theorem 14:
@@ -109,6 +125,20 @@ mod tests {
             run.stage_count(),
             run.structure.atom_count()
         );
+    }
+
+    /// The process-wide engine chases exactly like one built afresh from
+    /// `t_separating()`, and every caller shares the one label space.
+    #[test]
+    fn shared_setup_matches_a_fresh_engine() {
+        assert!(Arc::ptr_eq(&separating_space(), &separating_space()));
+        let budget = separating_budget(14);
+        let (shared, run, found) = chase_from_lasso_with(3, 1, &budget);
+        let lasso = lasso_model(separating_space(), 3, 1);
+        let (fresh, fresh_run, fresh_found) = t_separating().chase_until_12(&lasso, &budget);
+        assert_eq!(shared.structure().atoms(), fresh.structure().atoms());
+        assert_eq!(run.stages, fresh_run.stages);
+        assert_eq!(found, fresh_found);
     }
 
     /// E-SEP (negative half): the unfolded chase never develops a pattern.
@@ -251,37 +281,5 @@ mod debug_tests {
         }
         println!("has ONE: {}", out.edges_with(Label::ONE).count());
         println!("has TWO: {}", out.edges_with(Label::TWO).count());
-    }
-}
-
-#[cfg(test)]
-mod strategy_tests {
-    use super::*;
-    use crate::tinf::lasso_model;
-    use cqfd_chase::Strategy;
-
-    /// The semi-naive chase strategy reaches the same Theorem 14 verdicts:
-    /// pattern from the fold, no pattern from DI.
-    #[test]
-    fn seminaive_strategy_agrees_on_theorem14() {
-        let sys = t_separating();
-        let budget = ChaseBudget {
-            max_stages: 60,
-            max_atoms: 1 << 22,
-            max_nodes: 1 << 22,
-            ..ChaseBudget::default()
-        };
-        let lasso = lasso_model(separating_space(), 3, 1);
-        let (_, _, found) = sys.chase_until_12_with(&lasso, &budget, Strategy::SemiNaive);
-        assert!(found, "semi-naive must find the pattern too");
-        let di = GreenGraph::di(separating_space());
-        let small = ChaseBudget {
-            max_stages: 10,
-            max_atoms: 1 << 22,
-            max_nodes: 1 << 22,
-            ..ChaseBudget::default()
-        };
-        let (_, _, found) = sys.chase_until_12_with(&di, &small, Strategy::SemiNaive);
-        assert!(!found, "and must stay clean on DI");
     }
 }

@@ -13,6 +13,7 @@ use crate::job::Job;
 use cqfd_analysis::{analyze_delta, analyze_tgds, Code, Diagnostic, Report};
 use cqfd_core::Cq;
 use cqfd_greenred::{greenred_tgds, DeterminacyOracle};
+use std::sync::OnceLock;
 
 /// Lints the rule set a job would execute. Never runs the job.
 pub fn lint_job(job: &Job) -> Report {
@@ -58,13 +59,20 @@ pub fn lint_job(job: &Job) -> Report {
             report.merge(crate::dispatch::classify_for(&oracle, views, q0).to_report());
             report
         }
-        Job::Separate { .. } => {
-            let space = cqfd_separating::theorem14::separating_space();
-            let tgds = cqfd_separating::theorem14::t_separating().tgds(&space);
-            analyze_tgds(space.signature(), &tgds)
-        }
+        Job::Separate { .. } => separate_report().clone(),
         Job::Reduce { delta } | Job::Creep { delta, .. } => analyze_delta(delta),
     }
+}
+
+/// The report for every `separate` job: the Theorem 14 rule set is fixed
+/// (no job key changes it), so it is analysed once per process.
+fn separate_report() -> &'static Report {
+    static REPORT: OnceLock<Report> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let space = cqfd_separating::theorem14::separating_space();
+        let tgds = cqfd_separating::theorem14::t_separating().tgds(&space);
+        analyze_tgds(space.signature(), &tgds)
+    })
 }
 
 /// `A001` and `A010` for a hand-built query: `Cq::parse` enforces safety

@@ -8,9 +8,16 @@
 //! Phase B applies sequentially), so we check it the hard way: exact
 //! equality on everything a `ChaseRun` records, over the Theorem 14
 //! separating rules, two rainworm rule families, and random green-red
-//! instances, at 1, 2 and 4 threads and under both strategies.
+//! instances, at 1, 2 and 4 threads.
+//!
+//! The engine's stages are delta-driven. A naive reference chase, the
+//! paper's §II.C stage spelled out literally, pins that this changes no
+//! output: same atoms, nodes, stages, outcome and recorded firings.
 
-use cqfd::chase::{ChaseBudget, ChaseOutcome, ChaseRun, Strategy};
+use cqfd::chase::{ChaseBudget, ChaseEngine, ChaseOutcome, ChaseRun, Firing, StageInfo, Tgd};
+use cqfd::core::{
+    find_homomorphism, for_each_homomorphism_limited, Node, Structure, Term, Var, VarMap,
+};
 use cqfd::greengraph::{GreenGraph, L2System, Label, LabelSpace};
 use cqfd::rainworm::families::{counter_worm, forever_worm};
 use cqfd::rainworm::to_rules::tm_rules;
@@ -19,16 +26,15 @@ use cqfd::separating::theorem14::{separating_budget, t_separating};
 use cqfd::separating::tinf::lasso_model;
 use cqfd::service::{Job, JobBudget, Pool, PoolConfig};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Chases `g` under `sys` with recording on and the given thread count.
 fn chase_threads(sys: &L2System, g: &GreenGraph, stages: usize, threads: usize) -> ChaseRun {
     let budget = separating_budget(stages).with_threads(threads);
-    let engine = sys
-        .engine(g.space())
-        .with_strategy(Strategy::SemiNaive)
-        .with_recording(true);
+    let engine = sys.engine(g.space()).with_recording(true);
     engine.chase(g.structure(), &budget)
 }
 
@@ -91,10 +97,6 @@ fn rainworm_chases_are_thread_count_invariant() {
     }
 }
 
-// Both strategies must individually be thread-count invariant. (Naive and
-// semi-naive are *not* byte-identical to each other — they enumerate
-// matches in different orders — so each strategy is compared against its
-// own single-threaded baseline, plus a semantic cross-check.)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -106,44 +108,183 @@ proptest! {
     ) {
         let sys = t_separating();
         let g = lasso_model(cqfd::separating::theorem14::separating_space(), n, p);
-        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let runs: Vec<ChaseRun> = [1usize, 2, 4]
-                .iter()
-                .map(|&t| {
-                    let budget = separating_budget(stages).with_threads(t);
-                    sys.engine(g.space())
-                        .with_strategy(strategy)
-                        .with_recording(true)
-                        .chase(g.structure(), &budget)
-                })
-                .collect();
-            assert_runs_identical(&runs[0], &runs[1], &format!("{strategy:?} n{n}p{p} @2t"));
-            assert_runs_identical(&runs[0], &runs[2], &format!("{strategy:?} n{n}p{p} @4t"));
+        let baseline = chase_threads(&sys, &g, stages, 1);
+        for threads in [2, 4] {
+            let run = chase_threads(&sys, &g, stages, threads);
+            assert_runs_identical(&baseline, &run, &format!("n{n}p{p} @{threads}t"));
         }
-        // Cross-strategy semantic agreement: same final atom *set*.
-        let naive = sys
-            .engine(g.space())
-            .with_strategy(Strategy::Naive)
-            .chase(g.structure(), &separating_budget(stages));
-        let semi = sys
-            .engine(g.space())
-            .with_strategy(Strategy::SemiNaive)
-            .chase(g.structure(), &separating_budget(stages));
-        let mut a: Vec<_> = naive.structure.atoms().to_vec();
-        let mut b: Vec<_> = semi.structure.atoms().to_vec();
-        prop_assert_eq!(a.len(), b.len());
-        a.sort();
-        b.sort();
-        // Atom identity is up to node renaming between strategies, so
-        // compare the per-predicate atom counts, which renaming preserves.
-        let count = |v: &[cqfd::core::GroundAtom]| {
-            let mut m = std::collections::BTreeMap::new();
-            for atom in v {
-                *m.entry(atom.pred).or_insert(0usize) += 1;
+    }
+
+    #[test]
+    fn random_lassos_match_the_reference_chase(
+        n in 3usize..6,
+        p in 1usize..3,
+        stages in 6usize..12,
+    ) {
+        let sys = t_separating();
+        let g = lasso_model(cqfd::separating::theorem14::separating_space(), n, p);
+        let engine = sys.engine(g.space()).with_recording(true);
+        assert_matches_reference(&engine, g.structure(), stages, &format!("lasso n{n}p{p}"));
+    }
+}
+
+/// What the reference chase records: the observables a [`ChaseRun`]
+/// carries apart from wall-clock and search-node counts.
+struct Reference {
+    structure: Structure,
+    stages: Vec<StageInfo>,
+    outcome: ChaseOutcome,
+    firings: Vec<Firing>,
+}
+
+/// The paper's chase stage, literally: enumerate *every* body match over
+/// the frozen snapshot, keep per frontier tuple the least full match (the
+/// one the engine records), drop heads satisfied in the snapshot, sort by
+/// frontier tuple per TGD, and apply in that order with the live re-check.
+/// Shares no enumeration code with the engine's delta slices.
+fn reference_chase(tgds: &[Tgd], start: &Structure, max_stages: usize) -> Reference {
+    let mut d = start.clone();
+    let (mut stages, mut firings) = (Vec::new(), Vec::new());
+    let frontier_map = |tgd: &Tgd, tuple: &[Node]| -> VarMap {
+        tgd.frontier()
+            .iter()
+            .copied()
+            .zip(tuple.iter().copied())
+            .collect()
+    };
+    for stage in 1..=max_stages {
+        let frozen = d.atom_count() as u32;
+        let mut active: Vec<(Vec<Node>, Firing)> = Vec::new();
+        for (ti, tgd) in tgds.iter().enumerate() {
+            let mut least: BTreeMap<Vec<Node>, Vec<(Var, Node)>> = BTreeMap::new();
+            let _ = for_each_homomorphism_limited(tgd.body(), &d, &VarMap::new(), frozen, |m| {
+                let tuple: Vec<Node> = tgd.frontier().iter().map(|v| m[v]).collect();
+                let mut full: Vec<(Var, Node)> = m.iter().map(|(&v, &n)| (v, n)).collect();
+                full.sort_unstable();
+                let cur = least.entry(tuple).or_insert_with(|| full.clone());
+                if full < *cur {
+                    *cur = full;
+                }
+                ControlFlow::<()>::Continue(())
+            });
+            for (tuple, assignment) in least {
+                let fixed = frontier_map(tgd, &tuple);
+                let satisfied =
+                    for_each_homomorphism_limited(tgd.head(), &d, &fixed, frozen, |_| {
+                        ControlFlow::Break(())
+                    });
+                if satisfied.is_continue() {
+                    let firing = Firing {
+                        stage,
+                        tgd: ti,
+                        assignment,
+                    };
+                    active.push((tuple, firing));
+                }
             }
-            m
-        };
-        prop_assert_eq!(count(&a), count(&b));
+        }
+        let mut applications = 0;
+        for (tuple, firing) in active {
+            let tgd = &tgds[firing.tgd];
+            let mut map = frontier_map(tgd, &tuple);
+            if find_homomorphism(tgd.head(), &d, &map).is_some() {
+                continue;
+            }
+            for &v in tgd.existential() {
+                map.insert(v, d.fresh_node());
+            }
+            for atom in tgd.head() {
+                let args = atom.args.iter().map(|t| match t {
+                    Term::Var(v) => map[v],
+                    Term::Const(c) => d.node_for_const(*c),
+                });
+                let args: Vec<Node> = args.collect();
+                d.add(atom.pred, args);
+            }
+            firings.push(firing);
+            applications += 1;
+        }
+        stages.push(StageInfo {
+            applications,
+            atoms_after: d.atom_count(),
+            nodes_after: d.node_count(),
+        });
+        if applications == 0 {
+            let outcome = ChaseOutcome::Fixpoint;
+            return Reference {
+                structure: d,
+                stages,
+                outcome,
+                firings,
+            };
+        }
+    }
+    let outcome = ChaseOutcome::StageBudgetExhausted;
+    Reference {
+        structure: d,
+        stages,
+        outcome,
+        firings,
+    }
+}
+
+/// Chases `start` with `engine` (which must record) at 1, 2 and 4 threads
+/// and asserts each run equals the reference chase on every observable.
+fn assert_matches_reference(engine: &ChaseEngine, start: &Structure, stages: usize, what: &str) {
+    let want = reference_chase(engine.tgds(), start, stages);
+    for threads in [1, 2, 4] {
+        let budget = separating_budget(stages).with_threads(threads);
+        let got = engine.chase(start, &budget);
+        let what = format!("{what} @{threads}t");
+        assert_eq!(
+            got.structure.atoms(),
+            want.structure.atoms(),
+            "{what}: atoms"
+        );
+        assert_eq!(
+            got.structure.node_count(),
+            want.structure.node_count(),
+            "{what}: node count"
+        );
+        assert_eq!(got.stages, want.stages, "{what}: stage history");
+        assert_eq!(got.outcome, want.outcome, "{what}: outcome");
+        assert_eq!(got.firings, want.firings, "{what}: firing log");
+    }
+}
+
+#[test]
+fn theorem14_di_chase_matches_the_reference_chase() {
+    let sys = t_separating();
+    let g = GreenGraph::di(cqfd::separating::theorem14::separating_space());
+    let engine = sys.engine(g.space()).with_recording(true);
+    assert_matches_reference(&engine, g.structure(), 14, "DI");
+}
+
+#[test]
+fn rainworm_chases_match_the_reference_chase() {
+    for (name, sys) in worm_families() {
+        let g = lasso_model(worm_space(&sys), 3, 1);
+        let engine = sys.engine(g.space()).with_recording(true);
+        assert_matches_reference(&engine, g.structure(), 20, name);
+    }
+}
+
+/// The green-red `T_Q` chases the determinacy oracle records, on the
+/// path families and random instances.
+#[test]
+fn oracle_chases_match_the_reference_chase() {
+    use cqfd::greenred::{instances, DeterminacyOracle};
+    let mut cases = vec![
+        instances::projection_instance(),
+        instances::composed_path_instance(2, 3),
+        instances::mismatched_path_instance(2, 3),
+        instances::mismatched_path_instance(3, 4),
+    ];
+    cases.extend(instances::random_batch(7, 6));
+    for (i, inst) in cases.iter().enumerate() {
+        let oracle = DeterminacyOracle::new(inst.sig.clone());
+        let (engine, start, _) = oracle.chase_setup(&inst.views, &inst.q0);
+        assert_matches_reference(&engine, &start, 8, &format!("oracle case {i}"));
     }
 }
 
@@ -214,10 +355,7 @@ fn cancelled_parallel_chase_is_a_valid_prefix() {
         cancel,
         ..separating_budget(30).with_threads(4)
     };
-    let run = sys
-        .engine(g.space())
-        .with_strategy(Strategy::SemiNaive)
-        .chase(g.structure(), &budget);
+    let run = sys.engine(g.space()).chase(g.structure(), &budget);
     assert_eq!(run.outcome, ChaseOutcome::Cancelled);
     assert_eq!(
         run.stage_structure(run.stage_count()).atoms(),
